@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	mrand "math/rand/v2"
@@ -166,14 +167,14 @@ func NewClient(o ClientOptions) (*Client, error) {
 		nextSeq: 1,
 		rng:     mrand.New(mrand.NewPCG(o.Seed, 0x6761746577617921)),
 	}
-	conn, err := c.dialOnce()
+	conn, br, err := c.dialOnce()
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
 	c.conn = conn
 	c.mu.Unlock()
-	go c.readLoop(conn)
+	go c.readLoop(conn, br)
 	return c, nil
 }
 
@@ -187,26 +188,29 @@ func Dial(addr string, o ClientOptions) (*Client, error) {
 	return NewClient(o)
 }
 
-// dialOnce opens a connection and completes the handshake.
-func (c *Client) dialOnce() (net.Conn, error) {
+// dialOnce opens a connection and completes the handshake. The
+// returned reader, opened before the handshake, is the connection's
+// only reader: it may already hold acks that followed HelloOK.
+func (c *Client) dialOnce() (net.Conn, *bufio.Reader, error) {
 	conn, err := c.o.Dial()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if _, err := conn.Write(appendHello(nil, c.o.ID)); err != nil {
 		conn.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	typ, body, err := readFrame(conn, 1<<16, nil)
+	br := bufio.NewReader(conn)
+	typ, body, err := readFrame(br, 1<<16, nil)
 	if err != nil || typ != frameHelloOK {
 		conn.Close()
-		return nil, fmt.Errorf("gateway: handshake refused (%v)", err)
+		return nil, nil, fmt.Errorf("gateway: handshake refused (%v)", err)
 	}
 	if _, _, err := parseHelloOK(body); err != nil {
 		conn.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	return conn, nil
+	return conn, br, nil
 }
 
 // Counters snapshots the client's activity counters.
@@ -344,12 +348,12 @@ func (c *Client) backoff(attempts int, serverHintMs uint32) time.Duration {
 	return d/2 + time.Duration(jitter*float64(d))
 }
 
-// readLoop consumes acks from one connection until it dies, then hands
-// off to the reconnect path.
-func (c *Client) readLoop(conn net.Conn) {
+// readLoop consumes acks from one connection, through its buffered
+// reader, until it dies, then hands off to the reconnect path.
+func (c *Client) readLoop(conn net.Conn, br *bufio.Reader) {
 	scratch := make([]byte, 64)
 	for {
-		typ, body, err := readFrame(conn, 1<<16, scratch)
+		typ, body, err := readFrame(br, 1<<16, scratch)
 		if err != nil {
 			c.reconnect(conn)
 			return
@@ -512,7 +516,7 @@ func (c *Client) reconnect(dead net.Conn) {
 			if closed {
 				return
 			}
-			conn, err := c.dialOnce()
+			conn, br, err := c.dialOnce()
 			if err != nil {
 				time.Sleep(c.backoff(attempt, 0))
 				continue
@@ -526,7 +530,7 @@ func (c *Client) reconnect(dead net.Conn) {
 				resubmit = append(resubmit, p)
 			}
 			c.mu.Unlock()
-			go c.readLoop(conn)
+			go c.readLoop(conn, br)
 			// Resubmit everything in flight: whatever the old connection
 			// lost is replayed, and the server's window dedups the rest.
 			for _, p := range resubmit {

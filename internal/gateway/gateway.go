@@ -29,6 +29,7 @@
 package gateway
 
 import (
+	"bufio"
 	"errors"
 	"log"
 	"net"
@@ -91,9 +92,13 @@ type Options struct {
 	// neither replica gauge samples (sealed batches in the event-loop
 	// shard channels), and only the outstanding count keeps growing.
 	MaxOutstanding int
-	// AckQueue is the per-connection ack write queue; a slower client
-	// loses acks beyond it (recovered by its own resubmission) instead
-	// of stalling the dispatcher (default 1024).
+	// AckQueue bounds the per-connection ack write queue, in entries
+	// (default 1024). An entry is one encoded buffer: the commit acks of
+	// one dispatcher pass — every committed batch drained together — for
+	// that connection, or one rejection/duplicate reply. A client that
+	// falls AckQueue entries behind loses the acks of further entries
+	// (each one counted in AckDrops, recovered by the client's own
+	// resubmission) instead of stalling the dispatcher.
 	AckQueue int
 	// HandshakeTimeout bounds how long an accepted connection may sit
 	// without completing its Hello (default 10s).
@@ -165,6 +170,12 @@ type Server struct {
 	commitQ  []*types.Batch
 	notify   chan struct{}
 
+	// Dispatcher scratch, reused across passes (dispatch goroutine only):
+	// one pass's commit acks grouped by connection, and each group's
+	// index by writer.
+	groups []ackGroup
+	group  map[*connWriter]int
+
 	done     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -192,6 +203,7 @@ func NewServer(b Backend, o Options) *Server {
 		conns:   make(map[net.Conn]struct{}),
 		notify:  make(chan struct{}, 1),
 		done:    make(chan struct{}),
+		group:   make(map[*connWriter]int),
 	}
 	s.hintMs.Store(hintBaseMs)
 	s.wg.Add(2)
@@ -351,7 +363,8 @@ func (s *Server) logf(format string, args ...any) {
 
 // connWriter serializes ack writes to one connection on a dedicated
 // goroutine with a bounded queue: the commit dispatcher must never
-// block on a slow client's socket.
+// block on a slow client's socket. Each wakeup drains every queued
+// entry into one writev, so a burst of acks costs one syscall.
 type connWriter struct {
 	conn net.Conn
 	q    chan []byte
@@ -361,25 +374,43 @@ type connWriter struct {
 
 func newConnWriter(conn net.Conn, depth int) *connWriter {
 	cw := &connWriter{conn: conn, q: make(chan []byte, depth), done: make(chan struct{})}
-	go func() {
-		for {
-			select {
-			case <-cw.done:
-				return
-			case buf := <-cw.q:
-				if _, err := conn.Write(buf); err != nil {
-					conn.Close() // reader notices and tears the session down
-					return       // senders fall through to drop, never block
-				}
-			}
-		}
-	}()
+	go cw.run(depth)
 	return cw
 }
 
-// send enqueues an encoded frame; false when the queue is full or the
-// writer is gone (the caller counts the ack as dropped — the client's
-// resubmission recovers it).
+func (cw *connWriter) run(depth int) {
+	// scratch backs each flush's net.Buffers: WriteTo consumes the slice
+	// header it is given, so every flush takes a fresh header over this
+	// persistent array. It grows with the deepest drain seen, not the
+	// queue bound, so an idle connection holds no more than it needs.
+	var scratch [][]byte
+	for {
+		select {
+		case <-cw.done:
+			return
+		case buf := <-cw.q:
+			scratch = append(scratch[:0], buf)
+		drain:
+			for len(scratch) < depth {
+				select {
+				case buf := <-cw.q:
+					scratch = append(scratch, buf)
+				default:
+					break drain
+				}
+			}
+			bufs := net.Buffers(scratch)
+			if _, err := bufs.WriteTo(cw.conn); err != nil {
+				cw.conn.Close() // reader notices and tears the session down
+				return          // senders fall through to drop, never block
+			}
+		}
+	}
+}
+
+// send enqueues one entry of encoded frames; false when the queue is
+// full or the writer is gone (the caller counts the entry's acks as
+// dropped — the client's resubmission recovers them).
 func (cw *connWriter) send(buf []byte) bool {
 	select {
 	case <-cw.done:
@@ -415,9 +446,12 @@ func (s *Server) ServeConn(conn net.Conn) {
 		conn.Close()
 	}()
 
+	// Every read goes through one buffered reader, opened before the
+	// handshake so no byte the client pipelines behind Hello is lost.
+	br := bufio.NewReader(conn)
 	// Handshake, bounded: a connection that won't say Hello is hostile.
 	conn.SetReadDeadline(time.Now().Add(s.opts.HandshakeTimeout))
-	typ, body, err := readFrame(conn, s.opts.MaxFrame, nil)
+	typ, body, err := readFrame(br, s.opts.MaxFrame, nil)
 	if err != nil || typ != frameHello {
 		s.ctrs.HostileDrops.Add(1)
 		return
@@ -458,7 +492,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 
 	scratch := make([]byte, 4096)
 	for {
-		typ, body, err := readFrame(conn, s.opts.MaxFrame, scratch)
+		typ, body, err := readFrame(br, s.opts.MaxFrame, scratch)
 		if err != nil {
 			// Only self-detected protocol violations count as hostile;
 			// EOFs, resets and closed pipes are ordinary disconnects.
@@ -576,7 +610,7 @@ func (s *Server) admitClass(b Backend, prio uint8) (bool, uint32) {
 }
 
 func (s *Server) ack(cw *connWriter, seq uint64, status byte, retryMs uint32) {
-	if cw == nil || !cw.send(appendAck(nil, seq, status, retryMs)) {
+	if cw == nil || !cw.send(appendAck(make([]byte, 0, ackFrameLen), seq, status, retryMs)) {
 		s.ctrs.AckDrops.Add(1)
 	}
 }
@@ -599,9 +633,21 @@ func (s *Server) OnCommit(b *types.Batch) {
 	}
 }
 
+// ackGroup collects one connection's encoded commit acks within a
+// pass; a nil cw counts the acks of disconnected clients, which are
+// dropped.
+type ackGroup struct {
+	cw  *connWriter
+	n   int
+	buf []byte
+}
+
 // dispatch drains the commit queue, completing windows and pushing
 // commit acks. One goroutine per server: ack ordering per client
-// follows commit order.
+// follows commit order. A pass takes every batch queued so far and
+// sends each connection its acks as one buffer — one queue entry and,
+// in the writer, one write — so a post-stall commit burst costs a
+// client one entry, not one per transaction.
 func (s *Server) dispatch() {
 	defer s.wg.Done()
 	for {
@@ -618,18 +664,34 @@ func (s *Server) dispatch() {
 			if len(q) == 0 {
 				break
 			}
-			for _, b := range q {
-				for _, tx := range b.Txs {
-					s.routeAck(tx)
-				}
-			}
+			s.ackPass(q)
 		}
 	}
 }
 
+// ackPass resolves one pass's committed batches against their
+// submitters' windows, then enqueues each connection's commit acks as
+// one entry, in commit order.
+func (s *Server) ackPass(q []*types.Batch) {
+	now := time.Now()
+	for _, b := range q {
+		for _, tx := range b.Txs {
+			s.routeAck(tx, now)
+		}
+	}
+	for _, g := range s.groups {
+		if g.cw == nil || !g.cw.send(g.buf) {
+			s.ctrs.AckDrops.Add(uint64(g.n))
+		}
+	}
+	clear(s.groups) // release the buffers and writers to the GC
+	s.groups = s.groups[:0]
+	clear(s.group)
+}
+
 // routeAck resolves one committed transaction against its submitter's
-// window and pushes the commit ack.
-func (s *Server) routeAck(tx []byte) {
+// window and records its commit ack in the pass's connection group.
+func (s *Server) routeAck(tx []byte, now time.Time) {
 	cid, seq, ok := ParseTx(tx)
 	if !ok {
 		return // not gateway traffic
@@ -651,6 +713,16 @@ func (s *Server) routeAck(tx []byte) {
 		return
 	}
 	s.outstanding.Add(-1)
-	s.ctrs.AckObserved(time.Since(p.submitted))
-	s.ack(cw, seq, StatusCommitted, 0)
+	s.ctrs.AckObserved(now.Sub(p.submitted))
+	i, ok := s.group[cw]
+	if !ok {
+		i = len(s.groups)
+		s.groups = append(s.groups, ackGroup{cw: cw, buf: make([]byte, 0, ackFrameLen)})
+		s.group[cw] = i
+	}
+	g := &s.groups[i]
+	g.n++
+	if cw != nil {
+		g.buf = appendAck(g.buf, seq, StatusCommitted, 0)
+	}
 }

@@ -62,7 +62,9 @@ func appendFrame(buf []byte, typ byte, body []byte) []byte {
 // readFrame reads one frame, enforcing the size cap before allocating.
 // Returns the frame type and body, or an error that must drop the
 // connection (hostile or broken peer — there is no resynchronization in
-// a length-framed stream).
+// a length-framed stream). Connections pass their bufio.Reader, so the
+// header and body reads of a frame are served from one buffered read
+// instead of two syscalls.
 func readFrame(r io.Reader, maxFrame int, scratch []byte) (byte, []byte, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -85,11 +87,11 @@ func readFrame(r io.Reader, maxFrame int, scratch []byte) (byte, []byte, error) 
 
 // Hello body: magic (4) + version (1) + clientID (8).
 func appendHello(buf []byte, clientID uint64) []byte {
-	body := make([]byte, 0, 13)
-	body = binary.LittleEndian.AppendUint32(body, helloMagic)
-	body = append(body, protoVersion)
-	body = binary.LittleEndian.AppendUint64(body, clientID)
-	return appendFrame(buf, frameHello, body)
+	buf = binary.LittleEndian.AppendUint32(buf, 13)
+	buf = append(buf, frameHello)
+	buf = binary.LittleEndian.AppendUint32(buf, helloMagic)
+	buf = append(buf, protoVersion)
+	return binary.LittleEndian.AppendUint64(buf, clientID)
 }
 
 func parseHello(body []byte) (clientID uint64, err error) {
@@ -108,10 +110,10 @@ func parseHello(body []byte) (clientID uint64, err error) {
 // HelloOK body: window (4) + dedup window (4) — the server's per-client
 // limits, so a client can size its own in-flight bookkeeping.
 func appendHelloOK(buf []byte, window, dedup uint32) []byte {
-	body := make([]byte, 0, 8)
-	body = binary.LittleEndian.AppendUint32(body, window)
-	body = binary.LittleEndian.AppendUint32(body, dedup)
-	return appendFrame(buf, frameHelloOK, body)
+	buf = binary.LittleEndian.AppendUint32(buf, 8)
+	buf = append(buf, frameHelloOK)
+	buf = binary.LittleEndian.AppendUint32(buf, window)
+	return binary.LittleEndian.AppendUint32(buf, dedup)
 }
 
 func parseHelloOK(body []byte) (window, dedup uint32, err error) {
@@ -137,13 +139,17 @@ func parseSubmit(body []byte) (seq uint64, prio uint8, payload []byte, err error
 	return binary.LittleEndian.Uint64(body), body[8], body[submitOverhead:], nil
 }
 
+// ackFrameLen is one encoded Ack frame: header (5) + seq (8) + status
+// (1) + retryAfter ms (4).
+const ackFrameLen = frameHeader + 13
+
 // Ack body: seq (8) + status (1) + retryAfter ms (4).
 func appendAck(buf []byte, seq uint64, status byte, retryAfterMs uint32) []byte {
-	body := make([]byte, 0, 13)
-	body = binary.LittleEndian.AppendUint64(body, seq)
-	body = append(body, status)
-	body = binary.LittleEndian.AppendUint32(body, retryAfterMs)
-	return appendFrame(buf, frameAck, body)
+	buf = binary.LittleEndian.AppendUint32(buf, 13)
+	buf = append(buf, frameAck)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = append(buf, status)
+	return binary.LittleEndian.AppendUint32(buf, retryAfterMs)
 }
 
 func parseAck(body []byte) (seq uint64, status byte, retryAfterMs uint32, err error) {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"net"
 	"sort"
 	"sync"
 	"testing"
@@ -55,40 +56,63 @@ func (c *orderCollector) snapshot() []types.MsgType {
 // while most of the bulk backlog is still in flight, i.e. the control
 // plane is not head-of-line-blocked by data. Run under -race this also
 // exercises the pooled frame lifecycle across both writer goroutines.
+//
+// The backlog is built deterministically: cars and votes are enqueued
+// while the receiver is not yet listening, the sender's two plane
+// connections are then accepted and held unread, and only once both are
+// up does the receiving mesh start reading them. Every car is still in
+// flight when the votes exist, so every run measures the full backlog.
 func TestControlOvertakesSaturatedDataPlane(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[types.NodeID]string{0: ports[0], 1: ports[1]}
 	epoch := time.Now()
 	recv := &orderCollector{}
 	ma := NewTCPMesh(0, addrs, &collector{}, epoch, nil)
-	mb := NewTCPMesh(1, addrs, recv, epoch, nil)
 	if err := ma.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer ma.Stop()
-	if err := mb.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer mb.Stop()
 
-	// Saturate the data plane: 64 cars of 4 MB each (256 MB total).
+	// Saturate the data plane: 64 cars of 4 MB each (256 MB total),
+	// then the votes, all queued at the sender before node 1 listens.
 	const cars = 64
 	car := types.NewBatch(0, 1, []types.Transaction{make(types.Transaction, 4<<20)}, 0)
 	for i := 0; i < cars; i++ {
 		p := &types.Proposal{Lane: 0, Position: types.Pos(i + 1), Batch: car, Sig: make([]byte, 64)}
 		ma.Send(0, 1, p)
 	}
-	// Cars the link drained while the loop above was still encoding say
-	// nothing about head-of-line blocking — the votes did not exist yet.
-	// Snapshot the prefix and measure the overtake against the backlog
-	// that was actually in flight when the votes were enqueued. (Under
-	// the race detector, encoding 256 MB is slow enough that the drained
-	// prefix is large, and an absolute threshold measured the test's own
-	// enqueue speed instead of plane priority.)
-	predelivered := len(recv.snapshot())
 	const votes = 8
 	for i := 0; i < votes; i++ {
 		ma.Send(0, 1, &types.Vote{Lane: 0, Position: types.Pos(i + 1), Voter: 0, Sig: make([]byte, 64)})
+	}
+
+	// Accept both plane connections and hold them unread: the data
+	// writer stalls on a full socket buffer, the votes sit queued on the
+	// control connection.
+	ln, err := net.Listen("tcp", ports[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(10 * time.Second))
+	var held []net.Conn
+	for range planeCount {
+		c, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		held = append(held, c)
+	}
+	ln.Close()
+
+	// Node 1 comes up and starts reading the held connections.
+	mb := NewTCPMesh(1, addrs, recv, epoch, nil)
+	if err := mb.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer mb.Stop()
+	for _, c := range held {
+		go mb.readLoop(c)
 	}
 
 	waitFor(t, func() bool {
@@ -114,17 +138,14 @@ func TestControlOvertakesSaturatedDataPlane(t *testing.T) {
 	// before the first vote. With plane separation the votes must beat
 	// the bulk of the cars still in flight when they were enqueued;
 	// allow a generous margin for writev interleaving on loopback.
-	backlog := cars - predelivered
-	overtaken := proposalsBeforeLastVote - predelivered
-	if backlog < 8 {
-		t.Skipf("link drained %d of %d cars before the votes existed: no backlog to measure against", predelivered, cars)
-	}
+	backlog := cars
+	overtaken := proposalsBeforeLastVote
 	if overtaken > backlog/2 {
-		t.Fatalf("votes arrived after %d of %d in-flight cars: control plane is blocked behind data (last vote at index %d, %d cars predelivered)",
-			overtaken, backlog, lastVote, predelivered)
+		t.Fatalf("votes arrived after %d of %d in-flight cars: control plane is blocked behind data (last vote at index %d)",
+			overtaken, backlog, lastVote)
 	}
-	t.Logf("last vote overtook %d of %d in-flight cars (arrived at index %d, %d predelivered)",
-		backlog-overtaken, backlog, lastVote, predelivered)
+	t.Logf("last vote overtook %d of %d in-flight cars (arrived at index %d)",
+		backlog-overtaken, backlog, lastVote)
 }
 
 func countVotes(order []types.MsgType) int {
