@@ -79,9 +79,10 @@ type Options struct {
 	// lane i on shard i mod DataShards, preserving per-lane FIFO — while
 	// consensus stays on the serialized control loop (§4: dissemination
 	// is embarrassingly parallel per lane; agreement is not). 0 = auto
-	// (min(GOMAXPROCS, N); single-core machines stay unsharded), 1 =
-	// disabled. Real-time runtimes only; the simulator always runs
-	// unsharded so fixed-seed runs stay bit-reproducible.
+	// (min(GOMAXPROCS, N)), 1 = one shard run inline on the control loop
+	// (what single-core machines get). Real-time runtimes only; the
+	// simulator always runs the shard handlers inline so fixed-seed runs
+	// stay bit-reproducible.
 	DataShards int
 
 	// Adversaries marks replicas as Byzantine in real-time deployments:
@@ -93,7 +94,7 @@ type Options struct {
 	// for the protocol's guarantees to hold. Real-time runtimes only;
 	// simulations schedule behaviors (with time windows) through
 	// SimOptions.Faults (sim.FaultSchedule.AddBehavior). Adversarial
-	// replicas always run unsharded: behaviors are single-threaded.
+	// replicas always run one inline shard: behaviors are single-threaded.
 	Adversaries map[types.NodeID]string
 
 	// LinkFaults, when set, injects transport-level faults — drop, delay,

@@ -64,8 +64,9 @@ func replace(d runtime.Directed, m types.Message) []runtime.Directed {
 // Node wraps an honest Autobahn replica with a Byzantine behavior. It
 // implements runtime.Protocol (and the pre-verification hook) so it can
 // be dropped into any runtime where a *core.Node fits; it deliberately
-// does NOT implement runtime.Sharder — adversaries run single-threaded,
-// so behaviors never race the state they inspect.
+// does NOT implement runtime.Sharder — the wrapped node runs its shard
+// handlers inline on the control loop, so behaviors never race the
+// state they inspect.
 type Node struct {
 	inner *core.Node
 	b     runtime.Behavior

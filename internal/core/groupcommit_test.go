@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -39,7 +40,7 @@ func (j *syncTrackingJournal) Sync() error {
 	return j.Journal.Sync()
 }
 
-func groupCommitNode(t *testing.T, j core.Journal) *core.Node {
+func groupCommitNode(t *testing.T, j core.Journal, shards int) *core.Node {
 	t.Helper()
 	return core.NewNode(core.Config{
 		Committee:      types.NewCommittee(4),
@@ -47,9 +48,20 @@ func groupCommitNode(t *testing.T, j core.Journal) *core.Node {
 		Suite:          crypto.NewNopSuite(4),
 		FastPath:       true,
 		OptimisticTips: true,
+		Shards:         shards,
 		Journal:        j,
 		GroupCommit:    true,
 	})
+}
+
+// forShards runs a group-commit test once with the default single
+// inline shard and once with Shards 4 under a runtime that ignores
+// runtime.Sharder (every event delivered through OnMessage and
+// OnClientBatch): both must honor the same barrier.
+func forShards(t *testing.T, test func(t *testing.T, shards int)) {
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { test(t, shards) })
+	}
 }
 
 // TestGroupCommitGatesSendsUntilFlush pins the write-before-externalize
@@ -57,8 +69,12 @@ func groupCommitNode(t *testing.T, j core.Journal) *core.Node {
 // messages must emit nothing until Flush, and Flush must Sync the
 // journal before releasing the sends.
 func TestGroupCommitGatesSendsUntilFlush(t *testing.T) {
+	forShards(t, testGroupCommitGatesSendsUntilFlush)
+}
+
+func testGroupCommitGatesSendsUntilFlush(t *testing.T, shards int) {
 	j := &syncTrackingJournal{Journal: core.NewMemJournal()}
-	nd := groupCommitNode(t, j)
+	nd := groupCommitNode(t, j, shards)
 	ctx := &recordingCtx{}
 
 	nd.Init(ctx)
@@ -67,6 +83,7 @@ func TestGroupCommitGatesSendsUntilFlush(t *testing.T) {
 
 	// A sealed client batch produces an own-lane proposal: journaled and
 	// broadcast — but the broadcast must wait for the barrier.
+	syncsBefore := j.syncs
 	nd.OnClientBatch(ctx, types.NewBatch(1, 1, []types.Transaction{{1, 2, 3}}, 0))
 	if len(ctx.sends) != 0 {
 		t.Fatalf("%d sends escaped before Flush", len(ctx.sends))
@@ -74,7 +91,9 @@ func TestGroupCommitGatesSendsUntilFlush(t *testing.T) {
 	if j.appends == 0 {
 		t.Fatal("no journal record appended for the proposal")
 	}
-	syncsBefore := j.syncs
+	if j.syncs != syncsBefore {
+		t.Fatalf("the event itself ran %d syncs, want 0 (Flush owns the barrier)", j.syncs-syncsBefore)
+	}
 	nd.Flush(ctx)
 	if j.syncs != syncsBefore+1 {
 		t.Fatalf("Flush ran %d syncs, want 1", j.syncs-syncsBefore)
@@ -102,7 +121,11 @@ func TestGroupCommitGatesSendsUntilFlush(t *testing.T) {
 // handler issued them (a vote for a peer proposal followed by another
 // event's sends must not interleave out of order).
 func TestGroupCommitPreservesSendOrder(t *testing.T) {
-	nd := groupCommitNode(t, core.NewMemJournal())
+	forShards(t, testGroupCommitPreservesSendOrder)
+}
+
+func testGroupCommitPreservesSendOrder(t *testing.T, shards int) {
+	nd := groupCommitNode(t, core.NewMemJournal(), shards)
 	peer := core.NewNode(core.Config{
 		Committee: types.NewCommittee(4),
 		Self:      0,

@@ -33,9 +33,10 @@ import (
 
 // Journal durably records a replica's safety-critical state before it is
 // externalized and replays it on restart. Implementations must be safe
-// for concurrent use: under the sharded data plane, shard workers append
-// lane records while the control plane appends consensus records, and
-// each caller's FlushShard/Flush barrier Syncs the shared journal.
+// for concurrent use: with shard workers (Shards > 1 under a runtime
+// that honors runtime.Sharder), they append lane records while the
+// control plane appends consensus records, and each caller's
+// FlushShard/Flush barrier Syncs the shared journal.
 // Recover is called once, before any write.
 type Journal interface {
 	// OwnProposal records a newly produced own-lane proposal.

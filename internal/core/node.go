@@ -90,13 +90,13 @@ type Config struct {
 	// (§5.5.1; default 1 = disabled, matching the paper's prototype).
 	PipelineCars int
 
-	// Shards enables the parallel data plane (see shard.go): when > 1 and
-	// the runtime honors runtime.Sharder (the TCP/local transport loop
-	// does; the discrete-event simulator does not and must be left at the
-	// 0/1 default), lane traffic is processed on Shards worker goroutines
-	// (lane i → shard i mod Shards) while consensus stays serialized.
-	// Values above the committee size are clamped — a shard without a
-	// lane would never receive an event.
+	// Shards sizes the data plane (see shard.go): lane i belongs to shard
+	// i mod Shards. When > 1 and the runtime honors runtime.Sharder (the
+	// TCP/local transport loop does; the discrete-event simulator does
+	// not), each shard runs on its own worker goroutine while consensus
+	// stays serialized. 0 and 1 both mean one shard, run inline on the
+	// control loop. Values above the committee size are clamped — a
+	// shard without a lane would never receive an event.
 	Shards int
 
 	// SequentialVerify is the large-committee baseline switch: the
@@ -192,10 +192,6 @@ type Node struct {
 	recentNotices map[types.Slot]*types.CommitNotice
 	maxNotice     types.Slot
 
-	// lastRetxPos tracks the outstanding car seen at the previous
-	// retransmit tick (rebroadcast only if still stuck a tick later).
-	lastRetxPos types.Pos
-
 	// stuckSlot tracks an undecided execution-frontier slot seen at the
 	// previous fetch tick while a later slot was already decided — the
 	// signature of a lost CommitNotice (see retryMissingDecision).
@@ -241,11 +237,10 @@ type Node struct {
 	gctx    gatedContext
 	pending []pendingSend
 
-	// Sharded data plane (cfg.Shards > 1; see shard.go): per-shard worker
-	// state, and the control plane's notice-fed snapshot of lane tips.
-	sharded bool
-	shards  []*shardState
-	tips    *tipTable
+	// Data plane (see shard.go): per-shard state (max(cfg.Shards, 1)
+	// shards), and the control plane's notice-fed snapshot of lane tips.
+	shards []*shardState
+	tips   *tipTable
 
 	// Fatal-halt state: once the journal barrier fails, the node stops
 	// releasing gated sends (nothing un-journaled may externalize) and
@@ -383,26 +378,17 @@ func NewNode(cfg Config) *Node {
 		Journal:        consJournal{n},
 		Trace:          cfg.ConsensusTrace,
 	}, (*consensusEnv)(n), (*cutProvider)(n))
-	n.sharded = cfg.Shards > 1
-	if n.sharded {
-		n.tips = newTipTable(cfg.Committee.Size(), cfg.Self)
-		n.shards = make([]*shardState, cfg.Shards)
-		for i := range n.shards {
-			n.shards[i] = &shardState{
-				n:       n,
-				idx:     i,
-				notices: make(map[types.NodeID]*laneNotice),
-			}
-		}
+	n.tips = newTipTable(cfg.Committee.Size(), cfg.Self)
+	n.shards = make([]*shardState, max(cfg.Shards, 1))
+	for i := range n.shards {
+		n.shards[i] = &shardState{n: n, notices: make(map[types.NodeID]*laneNotice)}
 	}
 	n.recover()
-	if n.sharded {
-		// Recovery may have restored own-lane tips (NewNode runs before
-		// any goroutine exists, so reading lane state here is safe); seed
-		// the control snapshot so the first cut is not blind to them.
-		n.tips.ownTip = n.lanes.OptimisticTip(cfg.Self)
-		n.tips.ownCert = n.lanes.CertifiedTip(cfg.Self)
-	}
+	// Recovery may have restored own-lane tips (NewNode runs before any
+	// goroutine exists, so reading lane state here is safe); seed the
+	// control snapshot so the first cut is not blind to them.
+	n.tips.ownTip = n.lanes.OptimisticTip(cfg.Self)
+	n.tips.ownCert = n.lanes.CertifiedTip(cfg.Self)
 	return n
 }
 
@@ -529,51 +515,30 @@ func (n *Node) Init(ctx runtime.Context) {
 }
 
 // OnClientBatch receives a sealed batch from this replica's mempool and
-// feeds it into the replica's own lane (§5.1 step 1). Sharded runtimes
-// route batches to the own-lane shard instead (OnShardBatch).
+// feeds it into the replica's own lane (§5.1 step 1), inline on the
+// control loop. Sharded runtimes route batches to the own-lane shard's
+// worker instead (OnShardBatch).
 func (n *Node) OnClientBatch(ctx runtime.Context, b *types.Batch) {
-	if n.sharded {
-		// Unsharded runtime despite cfg.Shards > 1 (single-threaded here):
-		// run the shard path inline so state ownership stays consistent.
-		n.OnShardBatch(ctx, n.BatchShard(), b)
-		n.FlushShard(ctx, n.BatchShard())
-		return
-	}
 	ctx = n.enter(ctx)
 	defer n.leave()
-	if p := n.lanes.AddBatch(b); p != nil {
-		n.stats.BatchesProposed.Add(1)
-		ctx.Broadcast(p)
-		n.engine.OnTipsAdvanced() // own leader tip advanced
-	}
+	sh := n.shards[n.BatchShard()]
+	sh.onBatch(ctx, b)
+	n.applyNotices(ctx, sh)
 }
 
 // OnMessage dispatches a peer (or internal shard-handoff) message on the
 // control loop.
 func (n *Node) OnMessage(ctx runtime.Context, from types.NodeID, m types.Message) {
-	if n.sharded {
-		if s := n.ShardOf(from, m); s >= 0 {
-			// Data-plane message on the control loop: the runtime does not
-			// honor runtime.Sharder (custom runtimes only — the transport
-			// loop routes these before delivery). Run the shard path
-			// inline, flushing its notices immediately; single-threaded,
-			// so shard-state ownership is vacuously respected.
-			n.OnShardMessage(ctx, s, from, m)
-			n.FlushShard(ctx, s)
-			return
-		}
-	}
 	ctx = n.enter(ctx)
 	defer n.leave()
+	if s := n.ShardOf(from, m); s >= 0 {
+		// Data-plane message on the control loop: the node has one shard,
+		// or the runtime does not honor runtime.Sharder. Run the shard
+		// handler inline.
+		n.runInline(ctx, n.shards[s], from, m)
+		return
+	}
 	switch msg := m.(type) {
-	case *types.Proposal:
-		n.handleProposal(ctx, from, msg, true)
-	case *types.Vote:
-		n.handleVote(ctx, msg)
-	case *types.PoA:
-		if err := n.lanes.OnPoA(msg); err == nil {
-			n.engine.OnTipsAdvanced()
-		}
 	case *types.Prepare:
 		n.stats.ProposalsReceived.Add(1)
 		n.engine.OnPrepare(from, msg)
@@ -587,10 +552,6 @@ func (n *Node) OnMessage(ctx runtime.Context, from types.NodeID, m types.Message
 		n.handleCommitNotice(ctx, from, msg)
 	case *types.Timeout:
 		n.engine.OnTimeoutMsg(from, msg)
-	case *types.SyncRequest:
-		n.serveSync(ctx, msg)
-	case *types.SyncReply:
-		n.handleSyncReply(ctx, from, msg)
 	case *types.CommitRequest:
 		n.serveCommitRequest(ctx, msg)
 	case *types.CommitReply:
@@ -605,13 +566,8 @@ func (n *Node) OnMessage(ctx runtime.Context, from types.NodeID, m types.Message
 		n.serveChunkRequest(ctx, msg)
 	case *types.ChunkReply:
 		n.handleChunkReply(ctx, from, msg)
-	case *laneNotice:
-		n.onLaneNotice(ctx, msg)
-	case *ownTipNotice:
-		n.tips.ownTip, n.tips.ownCert = msg.tip, msg.cert
-		n.engine.OnTipsAdvanced() // own leader tip advanced
-	case *syncDone:
-		n.onSyncDone(ctx, msg)
+	case *laneNotice, *ownTipNotice, *syncDone:
+		n.applyNotice(ctx, msg)
 	}
 }
 
@@ -643,18 +599,9 @@ func (n *Node) OnTimer(ctx runtime.Context, tag runtime.TimerTag) {
 	case tagCarRetx:
 		// An own car that survived a whole tick without certifying has
 		// likely lost its broadcast or its votes: re-broadcast it. The
-		// outstanding-car state is shard-owned under the parallel data
-		// plane, so the tick is forwarded there.
-		if n.sharded {
-			ctx.Send(n.cfg.Self, &retxMsg{})
-		} else if p := n.lanes.OldestOutstanding(); p != nil {
-			if p.Position == n.lastRetxPos {
-				ctx.Broadcast(p)
-			}
-			n.lastRetxPos = p.Position
-		} else {
-			n.lastRetxPos = 0
-		}
+		// outstanding-car state is shard-owned, so the tick is forwarded
+		// to the own-lane shard.
+		n.toShard(ctx, &retxMsg{})
 		ctx.SetTimer(carRetransmit, runtime.TimerTag{Kind: tagCarRetx})
 	}
 }
@@ -723,23 +670,7 @@ func (n *Node) Flush(ctx runtime.Context) {
 	if err := n.cfg.Journal.Sync(); err != nil {
 		n.fatal(err)
 	}
-	if n.halted.Load() {
-		n.dropPending(&n.pending)
-		return
-	}
-	if len(n.pending) == 0 {
-		return
-	}
-	pend := n.pending
-	n.pending = n.pending[:0]
-	for i := range pend {
-		if pend[i].broadcast {
-			ctx.Broadcast(pend[i].msg)
-		} else {
-			ctx.Send(pend[i].to, pend[i].msg)
-		}
-		pend[i] = pendingSend{} // release the message reference
-	}
+	n.releasePending(ctx, &n.pending)
 }
 
 // fatal records a journal-barrier failure: the node stops externalizing
@@ -757,6 +688,27 @@ func (n *Node) fatal(err error) {
 // Halted reports whether the node halted on a journal failure.
 func (n *Node) Halted() bool { return n.halted.Load() }
 
+// releasePending sends gated sends through ctx in their original order
+// — or, once the node has halted, drops them unsent. It reports whether
+// they were released.
+func (n *Node) releasePending(ctx runtime.Context, pending *[]pendingSend) bool {
+	if n.halted.Load() {
+		n.dropPending(pending)
+		return false
+	}
+	pend := *pending
+	*pending = pend[:0]
+	for i := range pend {
+		if pend[i].broadcast {
+			ctx.Broadcast(pend[i].msg)
+		} else {
+			ctx.Send(pend[i].to, pend[i].msg)
+		}
+		pend[i] = pendingSend{} // release the message reference
+	}
+	return true
+}
+
 // dropPending discards gated sends without releasing them.
 func (n *Node) dropPending(pending *[]pendingSend) {
 	pend := *pending
@@ -768,74 +720,15 @@ func (n *Node) dropPending(pending *[]pendingSend) {
 
 // --- data layer handling ---
 
-// handleProposal processes a lane proposal (live broadcast or synced) on
-// the classic single-threaded path (shardState.handleProposal is the
-// data-plane counterpart).
-func (n *Node) handleProposal(ctx runtime.Context, from types.NodeID, p *types.Proposal, live bool) {
-	if p.Lane == n.cfg.Self {
-		// Own-lane data arriving from outside: meaningless on the live
-		// path (peers do not re-broadcast our cars), but sync deliveries
-		// must be ingested store-only so execution of a committed own-lane
-		// chain this replica no longer (amnesia) or never (a lost
-		// self-fork) possessed can proceed — see lane.IngestOwn.
-		if !live && n.lanes.IngestOwn(p) == nil {
-			n.drainExecution(ctx)
-		}
-		return
-	}
-	votes, err := n.lanes.OnProposal(p)
-	for _, v := range votes {
-		n.stats.VotesSent.Add(1)
-		ctx.Send(p.Lane, v)
-	}
-	if err == lane.ErrMissingParent && live {
-		n.scheduleGapFetch(ctx, p.Lane)
-	}
-	if err == nil || err == lane.ErrMissingParent {
-		// Data arrival can unblock pending consensus votes and execution,
-		// and new certified tips (carried as ParentPoA) advance coverage.
-		n.fetcher.Cancel(p.Lane, n.lanes.VotedPos(p.Lane))
-		n.engine.OnTipsAdvanced()
-		n.retryPendingVotes()
-		n.drainExecution(ctx)
-	}
-}
-
-func (n *Node) handleVote(ctx runtime.Context, v *types.Vote) {
-	props, poa, err := n.lanes.OnVote(v)
-	if err != nil {
-		return
-	}
-	for _, p := range props {
-		n.stats.BatchesProposed.Add(1)
-		ctx.Broadcast(p)
-	}
-	if poa != nil {
-		ctx.Broadcast(poa)
-	}
-	if len(props) > 0 || poa != nil {
-		n.engine.OnTipsAdvanced()
-	}
-}
-
-// scheduleGapFetch starts a sync for a detected lane gap, targeting the
-// certifiers of the buffered proposal's parent (at least one is correct
-// and, by FIFO voting, holds the whole history). At most one bulk range
-// is in flight per lane (counting execution catch-up fetches): each
-// partial fill otherwise spawns an overlapping fetch while the previous
-// reply still streams, melting the ingest pipeline.
-func (n *Node) scheduleGapFetch(ctx runtime.Context, l types.NodeID) {
-	from, to, anchor, ok := n.lanes.BufferedGap(l)
-	if !ok {
-		return
-	}
-	n.scheduleGapFetchAt(ctx, l, from, to, anchor)
-}
-
-// scheduleGapFetchAt is scheduleGapFetch for an already-localized gap —
-// the form the sharded path uses, because BufferedGap reads shard-owned
-// state and the range therefore rides in the shard's notice.
-func (n *Node) scheduleGapFetchAt(ctx runtime.Context, l types.NodeID, from, to types.Pos, anchor types.TipRef) {
+// scheduleGapFetch starts a sync for a detected lane gap [from, to],
+// targeting the certifiers of the buffered proposal's parent, anchor (at
+// least one is correct and, by FIFO voting, holds the whole history).
+// The shard that detected the gap localized the range, because
+// BufferedGap reads shard-owned state. At most one bulk range is in
+// flight per lane (counting execution catch-up fetches): each partial
+// fill otherwise spawns an overlapping fetch while the previous reply
+// still streams, melting the ingest pipeline.
+func (n *Node) scheduleGapFetch(ctx runtime.Context, l types.NodeID, from, to types.Pos, anchor types.TipRef) {
 	if n.fetcher.HasPending(l, fetch.PurposeGap) || n.fetcher.HasPending(l, fetch.PurposeExecute) {
 		return
 	}
@@ -847,66 +740,6 @@ func (n *Node) scheduleGapFetchAt(ctx runtime.Context, l types.NodeID, from, to 
 		n.stats.SyncRequestsSent.Add(1)
 		ctx.Send(em.To, em.Msg)
 	}
-}
-
-// --- synchronization ---
-
-func (n *Node) serveSync(ctx runtime.Context, req *types.SyncRequest) {
-	if n.cfg.Reputation && req.From == req.To && req.Lane != n.cfg.Self {
-		// A point request for another lane's tip means a replica could
-		// not vote on an optimistic tip we (presumably, as leader)
-		// proposed: downgrade the lane's standing (§B.1).
-		n.reputation[req.Lane] -= repPenalty
-		if n.reputation[req.Lane] < 0 {
-			n.reputation[req.Lane] = 0
-		}
-	}
-	for _, rep := range fetch.Serve(n.lanes.Store(), req) {
-		n.stats.SyncRepliesServed.Add(1)
-		ctx.Send(req.Requester, rep)
-	}
-}
-
-func (n *Node) handleSyncReply(ctx runtime.Context, from types.NodeID, rep *types.SyncReply) {
-	res, err := n.fetcher.OnReply(ctx.Now(), from, rep)
-	if err == fetch.ErrUnsolicited {
-		// Late reply to an abandoned request: the data is still valuable
-		// (ingestion is idempotent and execution may be waiting on it).
-		for _, p := range rep.Proposals {
-			n.handleProposal(ctx, from, p, false)
-		}
-		n.drainExecution(ctx)
-		return
-	}
-	if err != nil || res == nil {
-		return
-	}
-	if res.Remainder != nil {
-		// The lower sub-range usually already arrived as earlier chunks
-		// of the same FIFO stream; only chase it if truly absent.
-		rm := res.Remainder.Msg
-		if n.lanes.Store().Has(rm.Lane, rm.To, rm.TipDigest) {
-			n.fetcher.Cancel(rm.Lane, rm.To)
-		} else {
-			n.stats.SyncRequestsSent.Add(1)
-			ctx.Send(res.Remainder.To, res.Remainder.Msg)
-		}
-	}
-	for _, p := range res.Proposals {
-		// Feed synced proposals through the normal lane path: the store
-		// absorbs them and FIFO voting resumes where possible.
-		n.handleProposal(ctx, from, p, false)
-	}
-	if res.Request.Purpose == fetch.PurposeTipVote {
-		n.engine.TipDataArrived(res.Request.Slot, res.Request.View)
-	}
-	n.drainExecution(ctx)
-}
-
-func (n *Node) retryPendingVotes() {
-	// Consensus votes blocked on tip data retry whenever data arrives;
-	// the engine ignores slots without pending votes.
-	n.engine.RetryPendingVotes()
 }
 
 // --- commit & execution ---
@@ -1044,24 +877,13 @@ func (n *Node) drainExecution(ctx runtime.Context) {
 			}
 		}
 		// Inform the lane layer of new committed frontiers (vote-frontier
-		// adoption + fork GC, §A.4). Under the sharded data plane the
-		// peer-lane views are shard-owned, so the frontier travels there
-		// as a message; applying it asynchronously is safe — it only
-		// advances GC and vote-frontier adoption, both monotonic.
+		// adoption + fork GC, §A.4). The lane views are shard-owned, so
+		// the frontier travels to the lane's shard; applying it
+		// asynchronously is safe — it only advances GC and vote-frontier
+		// adoption, both monotonic.
 		for _, l := range n.cfg.Committee.Nodes() {
 			if pos := n.orderer.LastCommit(l); pos > 0 {
-				if n.sharded {
-					ctx.Send(n.cfg.Self, &frontierMsg{lane: l, pos: pos, digest: n.orderer.FrontierDigest(l)})
-				} else {
-					// Own-lane commits can retire wedged outstanding cars
-					// (commit overtaking certification after a restart) and
-					// unblock fresh proposals — broadcast them like any
-					// other production.
-					for _, p := range n.lanes.OnCommitted(l, pos, n.orderer.FrontierDigest(l)) {
-						n.stats.BatchesProposed.Add(1)
-						ctx.Broadcast(p)
-					}
-				}
+				n.toShard(ctx, &frontierMsg{lane: l, pos: pos, digest: n.orderer.FrontierDigest(l)})
 			}
 		}
 		// Persist the execution frontier: a restarted replica resumes here
@@ -1198,20 +1020,11 @@ type cutProvider Node
 
 func (c *cutProvider) node() *Node { return (*Node)(c) }
 
+// AssembleCut builds the cut from the control plane's notice-fed tip
+// snapshot: cut assembly must not read shard-owned lane state.
 func (c *cutProvider) AssembleCut(optimistic bool) types.Cut {
 	nd := c.node()
-	if nd.sharded {
-		// Cut assembly must not read shard-owned lane state: the control
-		// plane's notice-fed tip snapshot stands in for it.
-		return nd.tips.assemble(nd.cfg.Self, c.optimisticFor(optimistic))
-	}
-	if !optimistic {
-		return nd.lanes.AssembleCut(false)
-	}
-	if !nd.cfg.Reputation {
-		return nd.lanes.AssembleCut(true)
-	}
-	return nd.lanes.AssembleCutFunc(c.optimisticFor(true))
+	return nd.tips.assemble(nd.cfg.Self, c.optimisticFor(optimistic))
 }
 
 // optimisticFor returns the per-lane optimism predicate (§B.1 reputation
@@ -1247,14 +1060,7 @@ func (c *cutProvider) ValidateCut(cut types.Cut, leader types.NodeID) error {
 }
 
 func (c *cutProvider) NewTipCount(base []types.Pos) int {
-	nd := c.node()
-	var cut types.Cut
-	if nd.sharded {
-		cut = nd.tips.assemble(nd.cfg.Self, c.optimisticFor(nd.cfg.OptimisticTips))
-	} else {
-		cut = nd.lanes.AssembleCut(nd.cfg.OptimisticTips)
-	}
-	return cut.NewTipsVersus(base)
+	return c.AssembleCut(c.node().cfg.OptimisticTips).NewTipsVersus(base)
 }
 
 func (c *cutProvider) NextExec() types.Slot { return c.node().orderer.NextExec() }

@@ -1,19 +1,18 @@
-// Sharded data plane (runtime.Sharder implementation): Autobahn's §4
+// Data plane (runtime.Sharder implementation): Autobahn's §4
 // architecture makes data dissemination embarrassingly parallel per lane,
-// and this file exploits that on multi-core replicas. Lane traffic —
-// cars, lane votes, PoAs, sync requests and sync payloads — is routed by
-// the transport loop to W worker shards (lane i → shard i mod W, so each
-// lane's FIFO order is preserved by construction), while consensus,
-// certificates, commit notices, ordering and timers stay on the single
-// serialized control loop.
+// and this file holds the only lane handlers. Lane traffic — cars, lane
+// votes, PoAs, sync requests and sync payloads — belongs to W shards
+// (lane i → shard i mod W, so each lane's FIFO order is preserved by
+// construction), while consensus, certificates, commit notices, ordering
+// and timers stay on the single serialized control loop.
 //
 // Ownership is strict: shard i alone touches the peer-lane views of its
 // lanes (and, for the shard owning this replica's own lane, the own-lane
 // production state); the control plane alone touches the consensus
 // engine, orderer, fetcher and reputation. The only shared mutable
 // structures are the proposal store and the journal, both internally
-// synchronized. Everything else crosses the boundary by message passing
-// over the normal delivery path, as self-addressed MsgInternal notices:
+// synchronized. Everything else crosses the boundary as MsgInternal
+// notices:
 //
 //	shard → control: laneNotice (new certified/optimistic tips, data
 //	                 arrival, detected gaps, reputation events),
@@ -25,13 +24,22 @@
 // The control plane keeps its own snapshot of every lane's tips (the
 // tipTable), updated exclusively from these notices, and assembles
 // consensus cuts from it — so the consensus engine never reads
-// shard-owned lane state. Notices are coalesced per shard burst (one
-// laneNotice per lane per FlushShard) to keep the control loop's event
-// rate independent of the data rate.
+// shard-owned lane state. Notices are coalesced per event burst (one
+// laneNotice per lane) to keep the control loop's event rate independent
+// of the data rate.
 //
-// With Config.Shards <= 1 none of this is active and the node behaves
-// exactly as the classic single-threaded protocol — the discrete-event
-// simulator always runs in that mode.
+// Two modes run the same handlers:
+//
+//   - Worker mode (W > 1 under a runtime that honors runtime.Sharder, the
+//     transport loop): each shard has its own goroutine. FlushShard ends a
+//     burst and hands the notices to control as self-addressed sends;
+//     control reaches a shard the same way.
+//   - Inline mode (W = 1, or a runtime that ignores runtime.Sharder, such
+//     as the discrete-event simulator): OnMessage/OnClientBatch run the
+//     handler on the control loop, under the context from Node.enter, so
+//     its sends join the control loop's group-commit gate. The notices
+//     are applied to control state as soon as the event ends; at W = 1
+//     control hands frontierMsg/retxMsg to the shard directly.
 package core
 
 import (
@@ -41,7 +49,8 @@ import (
 	"repro/internal/types"
 )
 
-// --- internal handoff messages (never encoded, self-addressed only) ---
+// --- internal handoff messages (never encoded: self-addressed, or
+//     applied inline) ---
 
 // laneNotice carries one lane's data-plane progress from its shard to
 // the control plane.
@@ -58,7 +67,7 @@ type laneNotice struct {
 	dataArrived bool
 	// certAdvanced reports a standalone PoA advanced the lane's certified
 	// tip without any data arriving (idle-lane certification): the
-	// consensus engine must still be poked, as the classic path does.
+	// consensus engine must still be poked, since coverage may have moved.
 	certAdvanced bool
 	// hasGap reports a buffered out-of-order proposal; [gapFrom, gapTo]
 	// anchored at gapAnchor is the missing range to fetch.
@@ -67,7 +76,7 @@ type laneNotice struct {
 	gapAnchor      types.TipRef
 	// repPenalties counts critical-path tip syncs served during the burst
 	// (§B.1): the control plane downgrades the lane's reputation once per
-	// served sync, exactly as the classic path does.
+	// served sync.
 	repPenalties int
 }
 
@@ -141,7 +150,9 @@ func (t *tipTable) updateLane(l types.NodeID, cert, opt types.TipRef) {
 	}
 }
 
-// assemble mirrors lane.State.AssembleCutFunc over the snapshot.
+// assemble builds this replica's cut (§5.2) from the snapshot. Lanes for
+// which optimisticFor holds use their highest received tip (uncertified,
+// §5.5.2); the rest use their certified tip.
 func (t *tipTable) assemble(self types.NodeID, optimisticFor func(types.NodeID) bool) types.Cut {
 	tips := make([]types.TipRef, len(t.cert))
 	for i := range tips {
@@ -168,33 +179,33 @@ func (t *tipTable) assemble(self types.NodeID, optimisticFor func(types.NodeID) 
 	return types.Cut{Tips: tips}
 }
 
-// --- per-shard worker state ---
+// --- per-shard state ---
 
-// shardState is the data owned by one shard worker: its gated sends
-// (group commit) and its coalesced, not-yet-flushed control notices.
-// Only that worker's goroutine touches it (the classic single-threaded
-// fallback in OnMessage runs on the control goroutine, which under an
-// unsharded runtime is the only goroutine).
+// shardState is the data owned by one shard: its gated sends (group
+// commit, worker mode only) and its coalesced, not-yet-delivered control
+// notices. Only the shard's worker goroutine touches it — in inline mode
+// that is the control goroutine.
 type shardState struct {
-	n   *Node
-	idx int
+	n *Node
 
 	gate    gatedContext
 	pending []pendingSend
 
 	// Coalesced per-burst notices: one laneNotice per lane, merged across
-	// the burst's events, flushed (and tip snapshots taken) in FlushShard.
+	// the burst's events (tip snapshots are taken in takeNotices), plus
+	// the ingested sync replies in arrival order.
 	notices  map[types.NodeID]*laneNotice
-	order    []types.NodeID // deterministic flush order
+	order    []types.NodeID // deterministic delivery order
 	ownDirty bool
+	synced   []*syncDone
 
-	// lastRetxPos tracks the outstanding own car seen at the previous
+	// retxSeen tracks the outstanding own car seen at the previous
 	// retransmit tick (own-lane shard only).
-	lastRetxPos types.Pos
+	retxSeen types.Pos
 }
 
 // wrap installs group-commit gating around ctx for the duration of one
-// shard event handler, mirroring Node.enter for the control loop.
+// worker-mode shard event, mirroring Node.enter for the control loop.
 func (sh *shardState) wrap(ctx runtime.Context) runtime.Context {
 	if !sh.n.cfg.GroupCommit {
 		return ctx
@@ -219,26 +230,19 @@ func (sh *shardState) note(l types.NodeID) *laneNotice {
 
 var _ runtime.Sharder = (*Node)(nil)
 
-// DataShards implements runtime.Sharder.
-func (n *Node) DataShards() int { return n.cfg.Shards }
+// DataShards implements runtime.Sharder. At 1 the runtime treats the
+// node as unsharded and every event arrives through the control loop.
+func (n *Node) DataShards() int { return len(n.shards) }
 
 // BatchShard implements runtime.Sharder: client batches go to the shard
 // owning this replica's own lane (car production is serial per lane).
-func (n *Node) BatchShard() int {
-	if !n.sharded {
-		return -1
-	}
-	return int(n.cfg.Self) % n.cfg.Shards
-}
+func (n *Node) BatchShard() int { return int(n.cfg.Self) % len(n.shards) }
 
 // ShardOf implements runtime.Sharder: data-plane traffic is owned by its
 // lane's shard; everything else (consensus, commit catch-up, internal
 // control notices) is control.
 func (n *Node) ShardOf(_ types.NodeID, m types.Message) int {
-	if !n.sharded {
-		return -1
-	}
-	w := n.cfg.Shards
+	w := len(n.shards)
 	switch v := m.(type) {
 	case *types.Proposal:
 		return int(v.Lane) % w
@@ -263,7 +267,71 @@ func (n *Node) ShardOf(_ types.NodeID, m types.Message) int {
 // owning shard's worker goroutine.
 func (n *Node) OnShardMessage(ctx runtime.Context, shard int, from types.NodeID, m types.Message) {
 	sh := n.shards[shard]
-	ctx = sh.wrap(ctx)
+	sh.onMessage(sh.wrap(ctx), from, m)
+}
+
+// OnShardBatch implements runtime.Sharder: own-lane car production on
+// the own-lane shard's worker goroutine.
+func (n *Node) OnShardBatch(ctx runtime.Context, shard int, b *types.Batch) {
+	sh := n.shards[shard]
+	sh.onBatch(sh.wrap(ctx), b)
+}
+
+// FlushShard implements runtime.Sharder: the per-shard burst barrier.
+// Order matters — journal sync first (write-before-externalize), then
+// the burst's gated sends, then the coalesced control notices (whose tip
+// snapshots are taken now, after every event of the burst applied).
+func (n *Node) FlushShard(ctx runtime.Context, shard int) {
+	sh := n.shards[shard]
+	if n.cfg.GroupCommit {
+		// A failed barrier is replica-fatal, exactly as in Flush: this
+		// shard's gated sends are dropped, never released.
+		if err := n.cfg.Journal.Sync(); err != nil {
+			n.fatal(err)
+		}
+	}
+	notices := sh.takeNotices()
+	if !n.releasePending(ctx, &sh.pending) {
+		return
+	}
+	for _, m := range notices {
+		ctx.Send(n.cfg.Self, m)
+	}
+}
+
+// runInline runs one data-plane event on the control loop under ctx (the
+// context from Node.enter) and applies the shard's notices at once.
+func (n *Node) runInline(ctx runtime.Context, sh *shardState, from types.NodeID, m types.Message) {
+	sh.onMessage(ctx, from, m)
+	n.applyNotices(ctx, sh)
+}
+
+// applyNotices delivers an inline event's notices to control state. They
+// are all taken out of the shard before the first is applied: applying
+// one can drain execution, which re-enters the same shard through the
+// frontier handoff (toShard) and must find only its own notices there.
+func (n *Node) applyNotices(ctx runtime.Context, sh *shardState) {
+	for _, m := range sh.takeNotices() {
+		n.applyNotice(ctx, m)
+	}
+}
+
+// toShard hands a control → shard event (frontierMsg, retxMsg) to its
+// shard: directly when the node has one shard, as a self-addressed send
+// otherwise — the runtime routes it to the shard's worker, or back
+// through OnMessage when it ignores runtime.Sharder.
+func (n *Node) toShard(ctx runtime.Context, m types.Message) {
+	if len(n.shards) == 1 {
+		n.runInline(ctx, n.shards[0], n.cfg.Self, m)
+		return
+	}
+	ctx.Send(n.cfg.Self, m)
+}
+
+// onMessage handles one data-plane event under ctx: the worker's (see
+// wrap) or, inline, the control loop's.
+func (sh *shardState) onMessage(ctx runtime.Context, from types.NodeID, m types.Message) {
+	n := sh.n
 	switch msg := m.(type) {
 	case *types.Proposal:
 		sh.handleProposal(ctx, msg, true)
@@ -296,10 +364,9 @@ func (n *Node) OnShardMessage(ctx runtime.Context, shard int, from types.NodeID,
 	}
 }
 
-// OnShardBatch implements runtime.Sharder: own-lane car production.
-func (n *Node) OnShardBatch(ctx runtime.Context, shard int, b *types.Batch) {
-	sh := n.shards[shard]
-	ctx = sh.wrap(ctx)
+// onBatch produces an own-lane car from a sealed client batch.
+func (sh *shardState) onBatch(ctx runtime.Context, b *types.Batch) {
+	n := sh.n
 	if p := n.lanes.AddBatch(b); p != nil {
 		n.stats.BatchesProposed.Add(1)
 		ctx.Broadcast(p)
@@ -307,61 +374,40 @@ func (n *Node) OnShardBatch(ctx runtime.Context, shard int, b *types.Batch) {
 	}
 }
 
-// FlushShard implements runtime.Sharder: the per-shard burst barrier.
-// Order matters — journal sync first (write-before-externalize), then
-// the burst's gated sends, then the coalesced control notices (whose tip
-// snapshots are taken now, after every event of the burst applied).
-func (n *Node) FlushShard(ctx runtime.Context, shard int) {
-	sh := n.shards[shard]
-	if n.cfg.GroupCommit {
-		// A failed barrier is replica-fatal, exactly as in Flush: this
-		// shard's gated sends are dropped, never released.
-		if err := n.cfg.Journal.Sync(); err != nil {
-			n.fatal(err)
-		}
-	}
-	if n.halted.Load() {
-		n.dropPending(&sh.pending)
-		return
-	}
-	if len(sh.pending) > 0 {
-		pend := sh.pending
-		sh.pending = sh.pending[:0]
-		for i := range pend {
-			if pend[i].broadcast {
-				ctx.Broadcast(pend[i].msg)
-			} else {
-				ctx.Send(pend[i].to, pend[i].msg)
-			}
-			pend[i] = pendingSend{}
-		}
-	}
-	sh.flushNotices(ctx)
-}
-
-// flushNotices snapshots tips and hands the burst's coalesced notices to
-// the control plane (self-addressed sends short-circuit in every mesh).
-func (sh *shardState) flushNotices(ctx runtime.Context) {
+// takeNotices empties the shard's coalesced notices, in delivery order:
+// ingested sync replies first (fetch bookkeeping precedes the data's
+// consequences), then one laneNotice per touched lane with its tips
+// snapshotted now, then the own lane's tips.
+func (sh *shardState) takeNotices() []types.Message {
 	n := sh.n
+	if len(sh.synced) == 0 && len(sh.order) == 0 && !sh.ownDirty {
+		return nil
+	}
+	out := make([]types.Message, 0, len(sh.synced)+len(sh.order)+1)
+	for i, sd := range sh.synced {
+		out = append(out, sd)
+		sh.synced[i] = nil
+	}
+	sh.synced = sh.synced[:0]
 	for _, l := range sh.order {
 		no := sh.notices[l]
 		delete(sh.notices, l)
 		no.cert = n.lanes.CertifiedTip(l)
 		no.opt = n.lanes.OptimisticTip(l)
-		ctx.Send(n.cfg.Self, no)
+		out = append(out, no)
 	}
 	sh.order = sh.order[:0]
 	if sh.ownDirty {
 		sh.ownDirty = false
-		ctx.Send(n.cfg.Self, &ownTipNotice{
+		out = append(out, &ownTipNotice{
 			tip:  n.lanes.OptimisticTip(n.cfg.Self),
 			cert: n.lanes.CertifiedTip(n.cfg.Self),
 		})
 	}
+	return out
 }
 
-// --- shard-side handlers (mirrors of the classic control handlers,
-//     minus every touch of control-owned state) ---
+// --- shard-side handlers (no touch of control-owned state) ---
 
 // handleProposal ingests a car on its lane's shard: FIFO votes go out
 // directly; consensus-side consequences (fetch cancellation, vote
@@ -371,7 +417,7 @@ func (sh *shardState) handleProposal(ctx runtime.Context, p *types.Proposal, liv
 	if p.Lane == n.cfg.Self {
 		// Own-lane sync delivery (amnesia catch-up / lost self-fork): it
 		// routes to the own-lane shard (ShardOf keys on the lane), so the
-		// production state read in flushNotices stays shard-owned; the
+		// production state read in takeNotices stays shard-owned; the
 		// ingest itself is store-only. dataArrived makes the control plane
 		// re-drain execution, which is what the data was fetched for.
 		if !live && n.lanes.IngestOwn(p) == nil {
@@ -422,6 +468,9 @@ func (sh *shardState) handleVote(ctx runtime.Context, v *types.Vote) {
 func (sh *shardState) serveSync(ctx runtime.Context, req *types.SyncRequest) {
 	n := sh.n
 	if n.cfg.Reputation && req.From == req.To && req.Lane != n.cfg.Self {
+		// A point request for another lane's tip means a replica could
+		// not vote on an optimistic tip we (presumably, as leader)
+		// proposed: downgrade the lane's standing (§B.1).
 		sh.note(req.Lane).repPenalties++
 	}
 	for _, rep := range fetch.Serve(n.lanes.Store(), req) {
@@ -431,16 +480,15 @@ func (sh *shardState) serveSync(ctx runtime.Context, req *types.SyncRequest) {
 }
 
 // handleSyncReply ingests a sync reply's proposals into lane state on
-// the shard (votes, buffering, store) and forwards the reply envelope to
+// the shard (votes, buffering, store) and queues the reply envelope for
 // the control plane, where the fetch manager reconciles it against its
 // outstanding requests and execution resumes.
 //
-// Chain validation runs FIRST, on the shard: beyond matching the
-// classic path (which only ever ingested chain-valid replies), it is a
-// shard-safety requirement — a hostile reply mixing lanes would
-// otherwise make this worker touch peer-lane state owned by another
-// shard. Invalid replies are dropped whole; the outstanding fetch
-// retries from its tick, exactly as before.
+// Chain validation runs FIRST, on the shard: only chain-valid replies
+// are ingested, and it is a shard-safety requirement — a hostile reply
+// mixing lanes would otherwise make this worker touch peer-lane state
+// owned by another shard. Invalid replies are dropped whole; the
+// outstanding fetch retries from its tick.
 func (sh *shardState) handleSyncReply(ctx runtime.Context, from types.NodeID, rep *types.SyncReply) {
 	if err := fetch.ValidateChain(rep); err != nil {
 		return
@@ -451,7 +499,7 @@ func (sh *shardState) handleSyncReply(ctx runtime.Context, from types.NodeID, re
 		}
 		sh.handleProposal(ctx, p, false)
 	}
-	ctx.Send(sh.n.cfg.Self, &syncDone{from: from, rep: rep})
+	sh.synced = append(sh.synced, &syncDone{from: from, rep: rep})
 }
 
 // retransmit re-broadcasts the oldest outstanding own car if it is still
@@ -460,16 +508,29 @@ func (sh *shardState) handleSyncReply(ctx runtime.Context, from types.NodeID, re
 func (sh *shardState) retransmit(ctx runtime.Context) {
 	n := sh.n
 	if p := n.lanes.OldestOutstanding(); p != nil {
-		if p.Position == sh.lastRetxPos {
+		if p.Position == sh.retxSeen {
 			ctx.Broadcast(p)
 		}
-		sh.lastRetxPos = p.Position
+		sh.retxSeen = p.Position
 	} else {
-		sh.lastRetxPos = 0
+		sh.retxSeen = 0
 	}
 }
 
 // --- control-side notice handlers ---
+
+// applyNotice applies one shard notice to control state.
+func (n *Node) applyNotice(ctx runtime.Context, m types.Message) {
+	switch msg := m.(type) {
+	case *laneNotice:
+		n.onLaneNotice(ctx, msg)
+	case *ownTipNotice:
+		n.tips.ownTip, n.tips.ownCert = msg.tip, msg.cert
+		n.engine.OnTipsAdvanced() // own leader tip advanced
+	case *syncDone:
+		n.onSyncDone(ctx, msg)
+	}
+}
 
 // onLaneNotice applies one lane's shard progress to control state.
 func (n *Node) onLaneNotice(ctx runtime.Context, msg *laneNotice) {
@@ -481,21 +542,20 @@ func (n *Node) onLaneNotice(ctx runtime.Context, msg *laneNotice) {
 		}
 	}
 	if msg.dataArrived {
-		// Data arrival can unblock pending consensus votes and execution,
-		// and new certified tips advance coverage — same consequences the
-		// classic handler applies inline.
+		// Data arrival can unblock pending consensus votes (the engine
+		// ignores slots without one) and execution, and new certified
+		// tips (carried as ParentPoA) advance coverage.
 		n.fetcher.Cancel(msg.lane, msg.votedPos)
 		n.engine.OnTipsAdvanced()
-		n.retryPendingVotes()
+		n.engine.RetryPendingVotes()
 		n.drainExecution(ctx)
 	} else if msg.certAdvanced {
 		// Standalone PoA on an otherwise idle lane: the certified tip
-		// moved, so coverage may have (the classic PoA handler pokes the
-		// engine unconditionally).
+		// moved, so coverage may have.
 		n.engine.OnTipsAdvanced()
 	}
 	if msg.hasGap {
-		n.scheduleGapFetchAt(ctx, msg.lane, msg.gapFrom, msg.gapTo, msg.gapAnchor)
+		n.scheduleGapFetch(ctx, msg.lane, msg.gapFrom, msg.gapTo, msg.gapAnchor)
 	}
 }
 
@@ -514,6 +574,8 @@ func (n *Node) onSyncDone(ctx runtime.Context, msg *syncDone) {
 		return
 	}
 	if res.Remainder != nil {
+		// The lower sub-range usually already arrived as earlier chunks
+		// of the same FIFO stream; only chase it if truly absent.
 		rm := res.Remainder.Msg
 		if n.lanes.Store().Has(rm.Lane, rm.To, rm.TipDigest) {
 			n.fetcher.Cancel(rm.Lane, rm.To)

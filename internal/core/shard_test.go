@@ -148,12 +148,12 @@ func (sc *shardedCluster) committedAll(n, batches int) bool {
 	return true
 }
 
-// TestShardedNodeUnshardedRuntimeFallback pins the fallback contract: a
-// node configured with Shards > 1 but driven by a runtime that ignores
-// runtime.Sharder (everything delivered through OnMessage on one
-// goroutine) must still be correct — data messages run the shard path
-// inline with an immediate notice flush. A 4-node simulated cluster
-// would hide this (sim never sets Shards); drive one node directly.
+// TestShardedNodeUnshardedRuntimeFallback pins the inline contract at
+// W > 1: a node configured with Shards > 1 but driven by a runtime that
+// ignores runtime.Sharder (everything delivered through OnMessage on one
+// goroutine) must still be correct — data messages run the shard
+// handlers inline and their notices apply at once, while control →
+// shard events travel as self-addressed sends.
 func TestShardedNodeUnshardedRuntimeFallback(t *testing.T) {
 	c := newClusterWith(t, func(o *clusterOpts) {
 		o.fastPath = true

@@ -8,11 +8,12 @@ import (
 
 // TestSimFingerprint pins the deterministic-simulation fingerprint used
 // to validate refactors of the real runtime: the fixed-seed sim path
-// must stay byte-identical across transport/egress/ingress changes —
-// including with the sharded data plane compiled in (the simulator
-// always runs unsharded, W=1, and digest memoization is value-
-// deterministic), which this test re-verifies on every run (only the
-// real-time runtimes may change behavior). If a PR intentionally
+// must stay byte-identical across transport/egress/ingress changes. The
+// simulator ignores runtime.Sharder, so every node runs core's shard
+// handlers inline on its single event loop (W=1) — the same lane code
+// the real-time runtimes run on their shard workers — and digest
+// memoization is value-deterministic; this test re-verifies that on
+// every run (only the real-time runtimes may change behavior). If a PR intentionally
 // changes simulated protocol behavior, it must update these constants
 // and say so.
 func TestSimFingerprint(t *testing.T) {

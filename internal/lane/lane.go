@@ -486,42 +486,6 @@ func (s *State) OptimisticTip(l types.NodeID) types.TipRef {
 	return pv.certTip
 }
 
-// AssembleCut builds this replica's current view of all lanes, for use as
-// a consensus proposal (§5.2). With optimistic true, non-self lanes use
-// their highest received tip (uncertified); the replica's own lane always
-// uses the leader-tip rule (§5.5.2: a leader may reference its own latest
-// proposal uncertified — it only hurts itself by lying).
-func (s *State) AssembleCut(optimistic bool) types.Cut {
-	return s.AssembleCutFunc(func(types.NodeID) bool { return optimistic })
-}
-
-// AssembleCutFunc is AssembleCut with per-lane optimism — the hook for the
-// §B.1 reputation mechanism, which falls back to certified tips for lanes
-// that recently forced critical-path synchronization.
-func (s *State) AssembleCutFunc(optimisticFor func(types.NodeID) bool) types.Cut {
-	n := s.cfg.Committee.Size()
-	cut := types.Cut{Tips: make([]types.TipRef, n)}
-	for i := 0; i < n; i++ {
-		l := types.NodeID(i)
-		switch {
-		case l == s.cfg.Self:
-			cut.Tips[i] = s.leaderOwnTip()
-		case optimisticFor(l):
-			cut.Tips[i] = s.OptimisticTip(l)
-		default:
-			cut.Tips[i] = s.CertifiedTip(l)
-		}
-	}
-	return cut
-}
-
-func (s *State) leaderOwnTip() types.TipRef {
-	if s.ownTip.Position > s.ownCert.Position {
-		return s.ownTip // uncertified leader tip
-	}
-	return s.ownCert
-}
-
 // HasProposal reports whether the replica locally possesses the proposal
 // identified by a tip reference (vacuously true for genesis tips).
 func (s *State) HasProposal(t types.TipRef) bool {

@@ -126,7 +126,9 @@ type PreVerifier interface {
 //
 // ShardOf must be a pure function of the message (it runs on mesh reader
 // goroutines). A protocol whose DataShards() reports <= 1 is treated as
-// unsharded: everything runs on the control loop exactly as before.
+// unsharded: the runtime delivers every event through the plain Protocol
+// methods on the control loop, and the protocol runs its data-plane
+// handlers inline there.
 type Sharder interface {
 	// DataShards returns the number of data-plane worker shards (W).
 	DataShards() int
